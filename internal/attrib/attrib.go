@@ -32,6 +32,7 @@ package attrib
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -190,10 +191,13 @@ const (
 
 type replayTask struct {
 	info       TaskInfo
+	hasInfo    bool // a task-info event named this task
 	state      taskState
 	since      vtime.Time // last interval cut for non-running states
 	runStart   vtime.Time // dispatch instant while running
 	act        *Activation
+	cur        Activation // storage act points at while a job is live
+	ivs        []Interval // the live activation's intervals, reused per job
 	actCount   int
 	waitSem    string    // semaphore name while stBlockedSem
 	holder     string    // holder recorded in the block event's detail
@@ -201,33 +205,51 @@ type replayTask struct {
 	cpu        int       // CPU whose runner attributes this task's waits
 	premigrate taskState // state to restore at migrate-done
 	migTarget  string    // migrate detail ("to=cpuN") while in transit
+	inv        Inversion // open inversion window while invOpen
+	invOpen    bool
 }
 
-type replay struct {
-	order   []string
-	tasks   map[string]*replayTask
-	running []string // per-CPU: task occupying the CPU, "" when idle
+// name is the task's name, "" for a nil (idle) task.
+func (t *replayTask) name() string {
+	if t == nil {
+		return ""
+	}
+	return t.info.Name
+}
+
+// Replay is Analyze in streaming form: it consumes a trace one event
+// at a time, in log order, so a run can be attributed while it executes
+// (trace.Log.Stream) without ever retaining the event log. Feed every
+// event to Step, then call Finish once.
+type Replay struct {
+	tasks   []*replayTask // first-seen order
+	byName  map[string]*replayTask
+	running []*replayTask // per-CPU: task occupying the CPU, nil when idle
 	semOwn  map[string]string
 	an      *Analysis
-	invOpen map[string]*Inversion // victim → open inversion window
+	chunk   []Interval // arena the retired activations' intervals live in
+	scratch []string   // chain buffer reused by closeSpans
+	n       int        // events stepped
+	last    vtime.Time
+	err     error
 }
 
-// runningOn reports the task occupying CPU c ("" when idle or the CPU
+// runningOn reports the task occupying CPU c (nil when idle or the CPU
 // never appeared in the trace).
-func (r *replay) runningOn(c int) string {
+func (r *Replay) runningOn(c int) *replayTask {
 	if c < 0 || c >= len(r.running) {
-		return ""
+		return nil
 	}
 	return r.running[c]
 }
 
 // setRunning records CPU c's occupant, growing the per-CPU slate on
 // first sight of a new CPU.
-func (r *replay) setRunning(c int, task string) {
+func (r *Replay) setRunning(c int, t *replayTask) {
 	for len(r.running) <= c {
-		r.running = append(r.running, "")
+		r.running = append(r.running, nil)
 	}
-	r.running[c] = task
+	r.running[c] = t
 }
 
 // ErrTruncated reports that a trace lost events to ring overflow.
@@ -239,6 +261,11 @@ func (r *replay) setRunning(c int, task string) {
 // for the full horizon and rerun.
 var ErrTruncated = errors.New("attrib: trace ring overflowed; attribution over a truncated window would be wrong — enlarge the trace capacity and rerun")
 
+// ErrDuplicateTask reports a second task-info event for a task name
+// already announced: attribution is keyed by name, so two tasks sharing
+// one would silently be merged into a single task.
+var ErrDuplicateTask = errors.New("attrib: duplicate task name; two tasks would be attributed as one")
+
 // Analyze replays a trace into per-activation attribution. dropped is
 // the trace ring's overwrite count (trace.Log.Dropped or the raw JSON
 // header); any non-zero value is refused with ErrTruncated.
@@ -246,27 +273,47 @@ func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
 	if dropped > 0 {
 		return nil, fmt.Errorf("%w (%d events dropped)", ErrTruncated, dropped)
 	}
-	r := &replay{
-		tasks:   map[string]*replayTask{},
-		semOwn:  map[string]string{},
-		invOpen: map[string]*Inversion{},
-		an: &Analysis{
-			Open:    map[string]int{},
-			Dropped: dropped,
-		},
+	r := NewReplay()
+	for _, e := range events {
+		r.Step(e)
 	}
-	var last vtime.Time
-	for i, e := range events {
-		if e.At < last {
-			return nil, fmt.Errorf("attrib: event %d (%v %s) goes backwards in time", i, e.Kind, e.Task)
-		}
-		last = e.At
-		r.step(e)
+	return r.Finish()
+}
+
+// NewReplay returns an empty streaming replay.
+func NewReplay() *Replay {
+	return &Replay{
+		byName: map[string]*replayTask{},
+		semOwn: map[string]string{},
+		an:     &Analysis{Open: map[string]int{}},
 	}
-	// Close activations still in flight at the last event time.
+}
+
+// Step applies the next event of the trace. An event that goes back in
+// time or re-announces a task stops the replay; Finish reports it.
+func (r *Replay) Step(e trace.Event) {
+	if r.err != nil {
+		return
+	}
+	if e.At < r.last {
+		r.err = fmt.Errorf("attrib: event %d (%v %s) goes backwards in time", r.n, e.Kind, e.Task)
+		return
+	}
+	r.last = e.At
+	r.step(e)
+	r.n++
+}
+
+// Finish closes the activations still in flight at the last event's
+// time (as Aborted) and returns the analysis, or the error that stopped
+// the replay.
+func (r *Replay) Finish() (*Analysis, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	last := r.last
 	r.closeSpans(last)
-	for _, name := range r.order {
-		t := r.tasks[name]
+	for _, t := range r.tasks {
 		if t.act != nil {
 			if t.state == stRunning {
 				// No occupancy-end event: the span since dispatch cannot
@@ -274,12 +321,12 @@ func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
 				t.appendInterval(Interval{From: t.runStart, To: last, Comp: Running})
 			}
 			t.act.Aborted = true
-			r.an.Open[name]++
+			r.an.Open[t.info.Name]++
 			r.finish(t, last)
 		}
 	}
-	for _, name := range r.order {
-		r.an.Tasks = append(r.an.Tasks, r.tasks[name].info)
+	for _, t := range r.tasks {
+		r.an.Tasks = append(r.an.Tasks, t.info)
 	}
 	sort.SliceStable(r.an.Inversions, func(i, j int) bool {
 		return r.an.Inversions[i].From < r.an.Inversions[j].From
@@ -287,22 +334,27 @@ func Analyze(events []trace.Event, dropped uint64) (*Analysis, error) {
 	return r.an, nil
 }
 
-func (r *replay) task(name string) *replayTask {
-	if t, ok := r.tasks[name]; ok {
+func (r *Replay) task(name string) *replayTask {
+	if t, ok := r.byName[name]; ok {
 		return t
 	}
 	t := &replayTask{info: TaskInfo{Name: name, Prio: -1}}
-	r.tasks[name] = t
-	r.order = append(r.order, name)
+	r.byName[name] = t
+	r.tasks = append(r.tasks, t)
 	return t
 }
 
 // step applies one event: close the attribution spans that end at its
 // timestamp under the *pre-event* context, then apply the transition.
-func (r *replay) step(e trace.Event) {
+func (r *Replay) step(e trace.Event) {
 	switch e.Kind {
 	case trace.TaskInfo:
 		t := r.task(e.Task)
+		if t.hasInfo {
+			r.err = fmt.Errorf("%w: %q (event %d)", ErrDuplicateTask, e.Task, r.n)
+			return
+		}
+		t.hasInfo = true
 		t.info = parseTaskInfo(e.Task, e.Detail)
 		t.cpu = e.CPU // boot-time placement
 		return
@@ -317,12 +369,13 @@ func (r *replay) step(e trace.Event) {
 			t.act.Aborted = true
 			r.finish(t, e.At)
 		}
-		t.act = &Activation{
+		t.cur = Activation{
 			Task:       e.Task,
 			Index:      t.actCount,
 			ReleasedAt: e.At,
 			Deadline:   e.At.Add(t.info.Deadline),
 		}
+		t.act = &t.cur
 		t.actCount++
 		t.state = stReady
 		t.since = e.At
@@ -335,14 +388,14 @@ func (r *replay) step(e trace.Event) {
 		if t.act == nil {
 			// Activation released before the trace window; track CPU
 			// occupancy anyway so other tasks' ready time attributes.
-			r.setRunning(e.CPU, e.Task)
+			r.setRunning(e.CPU, t)
 			t.state = stRunning
 			t.runStart = e.At
 			return
 		}
 		t.state = stRunning
 		t.runStart = e.At
-		r.setRunning(e.CPU, e.Task)
+		r.setRunning(e.CPU, t)
 	case trace.Preempt:
 		r.closeSpans(e.At)
 		t := r.task(e.Task)
@@ -351,16 +404,16 @@ func (r *replay) step(e trace.Event) {
 			t.state = stReady
 			t.since = e.At
 		}
-		if r.runningOn(e.CPU) == e.Task {
-			r.setRunning(e.CPU, "")
+		if r.runningOn(e.CPU) == t {
+			r.setRunning(e.CPU, nil)
 		}
 	case trace.BlockEv:
 		r.closeSpans(e.At)
 		t := r.task(e.Task)
 		if t.state == stRunning {
 			t.endOccupancy(e.At, e.Dur)
-			if r.runningOn(e.CPU) == e.Task {
-				r.setRunning(e.CPU, "")
+			if r.runningOn(e.CPU) == t {
+				r.setRunning(e.CPU, nil)
 			}
 		}
 		if e.Detail == "job-killed" {
@@ -387,8 +440,8 @@ func (r *replay) step(e trace.Event) {
 		t := r.task(e.Task)
 		if t.state == stRunning {
 			t.endOccupancy(e.At, e.Dur)
-			if r.runningOn(e.CPU) == e.Task {
-				r.setRunning(e.CPU, "")
+			if r.runningOn(e.CPU) == t {
+				r.setRunning(e.CPU, nil)
 			}
 		}
 		if t.state == stMigrating {
@@ -439,8 +492,8 @@ func (r *replay) step(e trace.Event) {
 		t := r.task(e.Task)
 		if t.state == stRunning {
 			t.endOccupancy(e.At, e.Dur)
-			if r.runningOn(e.CPU) == e.Task {
-				r.setRunning(e.CPU, "")
+			if r.runningOn(e.CPU) == t {
+				r.setRunning(e.CPU, nil)
 			}
 			t.premigrate = stReady
 		} else {
@@ -467,8 +520,8 @@ func (r *replay) step(e trace.Event) {
 		if t.state == stRunning {
 			t.endOccupancy(e.At, e.Dur)
 		}
-		if r.runningOn(e.CPU) == e.Task {
-			r.setRunning(e.CPU, "")
+		if r.runningOn(e.CPU) == t {
+			r.setRunning(e.CPU, nil)
 		}
 		if t.act != nil {
 			t.act.Missed = e.Kind == trace.Miss
@@ -477,21 +530,39 @@ func (r *replay) step(e trace.Event) {
 		t.state = stOff
 	case trace.Idle:
 		r.closeSpans(e.At)
-		r.setRunning(e.CPU, "")
+		r.setRunning(e.CPU, nil)
 	}
 }
 
 // finish retires the task's live activation at instant end.
-func (r *replay) finish(t *replayTask, end vtime.Time) {
+func (r *Replay) finish(t *replayTask, end vtime.Time) {
 	a := t.act
 	t.act = nil
 	a.EndAt = end
 	a.Response = end.Sub(a.ReleasedAt)
-	for _, iv := range a.Intervals {
+	for _, iv := range t.ivs {
 		a.Comp[iv.Comp] += iv.Dur()
 	}
-	r.endInversion(a.Task, end)
+	a.Intervals = r.keep(t.ivs)
+	t.ivs = t.ivs[:0]
+	r.endInversion(t)
 	r.an.Activations = append(r.an.Activations, *a)
+}
+
+// keep copies a retired activation's intervals into the replay's
+// arena: chunks shared by many activations, each handed a
+// capacity-clipped window, in place of one growing slice per job.
+func (r *Replay) keep(ivs []Interval) []Interval {
+	n := len(ivs)
+	if n == 0 {
+		return nil
+	}
+	if len(r.chunk)+n > cap(r.chunk) {
+		r.chunk = make([]Interval, 0, max(n, min(2*cap(r.chunk), 4096), 64))
+	}
+	from := len(r.chunk)
+	r.chunk = append(r.chunk, ivs...)
+	return r.chunk[from:len(r.chunk):len(r.chunk)]
 }
 
 // endOccupancy books the span since dispatch as running plus a trailing
@@ -504,36 +575,40 @@ func (t *replayTask) endOccupancy(at vtime.Time, overhead vtime.Duration) {
 }
 
 // appendInterval adds a non-empty interval to the live activation,
-// coalescing with an identically-labeled predecessor.
+// coalescing with an identically-labeled predecessor. iv.Chain may be
+// a borrowed buffer: it is copied only when the interval is kept.
 func (t *replayTask) appendInterval(iv Interval) {
 	if t.act == nil || iv.To == iv.From {
 		return
 	}
-	ivs := t.act.Intervals
-	if n := len(ivs); n > 0 {
-		last := &ivs[n-1]
+	if n := len(t.ivs); n > 0 {
+		last := &t.ivs[n-1]
 		if last.To == iv.From && last.Comp == iv.Comp && last.Culprit == iv.Culprit &&
 			last.Sem == iv.Sem && last.Inversion == iv.Inversion && last.Runner == iv.Runner {
 			last.To = iv.To
 			return
 		}
 	}
-	t.act.Intervals = append(t.act.Intervals, iv)
+	if len(iv.Chain) > 0 {
+		iv.Chain = append([]string(nil), iv.Chain...)
+	} else {
+		iv.Chain = nil
+	}
+	t.ivs = append(t.ivs, iv)
 }
 
 // closeSpans closes the open attribution span of every waiting task at
 // instant at, under the current context (who runs, who holds what).
 // Running tasks are left alone: their span splits only at occupancy
 // end, when the consumed overhead is known.
-func (r *replay) closeSpans(at vtime.Time) {
-	for _, name := range r.order {
-		t := r.tasks[name]
+func (r *Replay) closeSpans(at vtime.Time) {
+	for _, t := range r.tasks {
 		if t.act == nil || at == t.since {
 			continue
 		}
 		switch t.state {
 		case stReady:
-			culprit := r.runningOn(t.cpu)
+			culprit := r.runningOn(t.cpu).name()
 			if culprit == "" {
 				culprit = "idle"
 			}
@@ -554,13 +629,13 @@ func (r *replay) closeSpans(at vtime.Time) {
 			iv := Interval{
 				From: t.since, To: at, Comp: Blocked,
 				Culprit: culprit, Sem: t.waitSem, Chain: chain,
-				Runner: r.runningOn(t.cpu),
+				Runner: r.runningOn(t.cpu).name(),
 			}
 			if r.isInversion(t, chain) {
 				iv.Inversion = true
 				r.extendInversion(t, at)
 			} else {
-				r.endInversion(name, t.since)
+				r.endInversion(t)
 			}
 			t.appendInterval(iv)
 			t.since = at
@@ -570,19 +645,18 @@ func (r *replay) closeSpans(at vtime.Time) {
 
 // chain resolves the blocking chain for a semaphore-blocked task: the
 // direct holder, then the holder's holder while holders are themselves
-// semaphore-blocked. Bounded to break ownership-tracking cycles.
-func (r *replay) chain(t *replayTask) []string {
-	var chain []string
+// semaphore-blocked. Bounded to break ownership-tracking cycles. The
+// result lives in the replay's scratch buffer until the next call.
+func (r *Replay) chain(t *replayTask) []string {
+	chain := r.scratch[:0]
 	sem := t.waitSem
 	holder := r.semOwn[sem]
 	if holder == "" {
 		holder = t.holder // fall back to the identity recorded at block time
 	}
-	seen := map[string]bool{t.info.Name: true}
-	for holder != "" && !seen[holder] && len(chain) < 64 {
+	for holder != "" && holder != t.info.Name && !slices.Contains(chain, holder) && len(chain) < 64 {
 		chain = append(chain, holder)
-		seen[holder] = true
-		h, ok := r.tasks[holder]
+		h, ok := r.byName[holder]
 		if !ok || h.state != stBlockedSem {
 			break
 		}
@@ -591,50 +665,44 @@ func (r *replay) chain(t *replayTask) []string {
 			holder = h.holder
 		}
 	}
+	r.scratch = chain
 	return chain
 }
 
 // isInversion reports whether the task running on t's CPU inverts t's
 // wait: lower priority than the victim and not part of its blocking
 // chain — CPU time no priority-inheritance bound accounts for.
-func (r *replay) isInversion(t *replayTask, chain []string) bool {
-	running := r.runningOn(t.cpu)
-	if running == "" || running == t.info.Name || t.info.Prio < 0 {
+func (r *Replay) isInversion(t *replayTask, chain []string) bool {
+	run := r.runningOn(t.cpu)
+	if run == nil || run == t || t.info.Prio < 0 {
 		return false
 	}
-	run, ok := r.tasks[running]
-	if !ok || run.info.Prio < 0 || run.info.Prio <= t.info.Prio {
+	if run.info.Prio < 0 || run.info.Prio <= t.info.Prio {
 		return false
 	}
-	for _, h := range chain {
-		if h == running {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(chain, run.info.Name)
 }
 
 // extendInversion grows (or opens) the victim's inversion window up to
 // instant at; windows with a different runner or semaphore are split.
-func (r *replay) extendInversion(t *replayTask, at vtime.Time) {
-	name := t.info.Name
-	running := r.runningOn(t.cpu)
-	if w := r.invOpen[name]; w != nil && w.To == t.since && w.Runner == running && w.Sem == t.waitSem {
+func (r *Replay) extendInversion(t *replayTask, at vtime.Time) {
+	running := r.runningOn(t.cpu).name()
+	if w := &t.inv; t.invOpen && w.To == t.since && w.Runner == running && w.Sem == t.waitSem {
 		w.To = at
 		return
 	}
-	r.endInversion(name, t.since)
-	r.invOpen[name] = &Inversion{Task: name, Sem: t.waitSem, Runner: running, From: t.since, To: at}
+	r.endInversion(t)
+	t.inv = Inversion{Task: t.info.Name, Sem: t.waitSem, Runner: running, From: t.since, To: at}
+	t.invOpen = true
 }
 
 // endInversion closes the victim's open inversion window, if any.
-func (r *replay) endInversion(name string, _ vtime.Time) {
-	w := r.invOpen[name]
-	if w == nil {
+func (r *Replay) endInversion(t *replayTask) {
+	if !t.invOpen {
 		return
 	}
-	delete(r.invOpen, name)
-	r.an.Inversions = append(r.an.Inversions, *w)
+	t.invOpen = false
+	r.an.Inversions = append(r.an.Inversions, t.inv)
 }
 
 // parseTaskInfo parses "prio=P period=N deadline=N" (integer ns).

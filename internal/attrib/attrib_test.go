@@ -74,70 +74,81 @@ func analyzeSystem(t *testing.T, sys *core.System, d vtime.Duration) *attrib.Ana
 	return an
 }
 
+// randomWorkloads is how many seeds the random-workload tests draw.
+const randomWorkloads = 24
+
+// randomWorkload builds (without booting) one random contended
+// workload: mixed policies, semaphore schemes, critical sections,
+// delays, events and mailboxes.
+func randomWorkload(seed int64) *core.System {
+	policies := []core.Policy{core.PolicyCSD, core.PolicyRM, core.PolicyEDF, core.PolicyRMHeap}
+	rng := rand.New(rand.NewSource(seed))
+	cfg := core.Config{
+		Policy:        policies[seed%int64(len(policies))],
+		StandardSem:   seed%2 == 0,
+		TraceCapacity: 1 << 20,
+	}
+	sys := core.New(cfg)
+	nSems := 1 + rng.Intn(3)
+	sems := make([]int, nSems)
+	for i := range sems {
+		sems[i] = sys.NewSemaphore(fmt.Sprintf("s%d", i))
+	}
+	ev := sys.NewEvent("ev")
+	mbox := sys.NewMailbox("mb", 2)
+	periods := []vtime.Duration{2 * vtime.Millisecond, 4 * vtime.Millisecond,
+		5 * vtime.Millisecond, 8 * vtime.Millisecond, 10 * vtime.Millisecond, 20 * vtime.Millisecond}
+	nTasks := 3 + rng.Intn(5)
+	for i := 0; i < nTasks; i++ {
+		period := periods[rng.Intn(len(periods))]
+		var prog task.Program
+		budget := period / vtime.Duration(2+rng.Intn(3)) // 1/2 … 1/4 of the period
+		for budget > 0 {
+			c := vtime.Duration(50+rng.Intn(400)) * vtime.Microsecond
+			if c > budget {
+				c = budget
+			}
+			budget -= c
+			switch rng.Intn(6) {
+			case 0, 1: // critical section on a shared semaphore
+				s := sems[rng.Intn(nSems)]
+				prog = append(prog, task.Acquire(s), task.Compute(c), task.Release(s))
+			case 2: // short self-suspension
+				prog = append(prog, task.Delay(vtime.Duration(20+rng.Intn(100))*vtime.Microsecond), task.Compute(c))
+			case 3: // event ping-pong (signal side keeps waits bounded)
+				if rng.Intn(2) == 0 {
+					prog = append(prog, task.SignalEvent(ev), task.Compute(c))
+				} else {
+					prog = append(prog, task.Compute(c), task.SignalEvent(ev))
+				}
+			case 4: // mailbox traffic
+				if rng.Intn(2) == 0 {
+					prog = append(prog, task.Send(mbox, int64(i), 16), task.Compute(c))
+				} else {
+					prog = append(prog, task.Compute(c), task.Send(mbox, int64(i), 16))
+				}
+			default:
+				prog = append(prog, task.Compute(c))
+			}
+		}
+		sys.AddTask(task.Spec{
+			Name:   fmt.Sprintf("t%d", i),
+			Period: period,
+			Phase:  vtime.Duration(rng.Intn(1000)) * vtime.Microsecond,
+			Prog:   prog,
+		})
+	}
+	return sys
+}
+
 // TestExactnessRandomWorkloads is the property test locking the
 // tentpole invariant: across random contended workloads — mixed
 // policies, semaphore schemes, critical sections, delays, events and
 // mailboxes — every completed activation partitions exactly.
 func TestExactnessRandomWorkloads(t *testing.T) {
-	policies := []core.Policy{core.PolicyCSD, core.PolicyRM, core.PolicyEDF, core.PolicyRMHeap}
 	var completed, blocked, preempted, missed int
-	for seed := int64(1); seed <= 24; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cfg := core.Config{
-			Policy:        policies[seed%int64(len(policies))],
-			StandardSem:   seed%2 == 0,
-			TraceCapacity: 1 << 20,
-		}
-		sys := core.New(cfg)
-		nSems := 1 + rng.Intn(3)
-		sems := make([]int, nSems)
-		for i := range sems {
-			sems[i] = sys.NewSemaphore(fmt.Sprintf("s%d", i))
-		}
-		ev := sys.NewEvent("ev")
-		mbox := sys.NewMailbox("mb", 2)
-		periods := []vtime.Duration{2 * vtime.Millisecond, 4 * vtime.Millisecond,
-			5 * vtime.Millisecond, 8 * vtime.Millisecond, 10 * vtime.Millisecond, 20 * vtime.Millisecond}
-		nTasks := 3 + rng.Intn(5)
-		for i := 0; i < nTasks; i++ {
-			period := periods[rng.Intn(len(periods))]
-			var prog task.Program
-			budget := period / vtime.Duration(2+rng.Intn(3)) // 1/2 … 1/4 of the period
-			for budget > 0 {
-				c := vtime.Duration(50+rng.Intn(400)) * vtime.Microsecond
-				if c > budget {
-					c = budget
-				}
-				budget -= c
-				switch rng.Intn(6) {
-				case 0, 1: // critical section on a shared semaphore
-					s := sems[rng.Intn(nSems)]
-					prog = append(prog, task.Acquire(s), task.Compute(c), task.Release(s))
-				case 2: // short self-suspension
-					prog = append(prog, task.Delay(vtime.Duration(20+rng.Intn(100))*vtime.Microsecond), task.Compute(c))
-				case 3: // event ping-pong (signal side keeps waits bounded)
-					if rng.Intn(2) == 0 {
-						prog = append(prog, task.SignalEvent(ev), task.Compute(c))
-					} else {
-						prog = append(prog, task.Compute(c), task.SignalEvent(ev))
-					}
-				case 4: // mailbox traffic
-					if rng.Intn(2) == 0 {
-						prog = append(prog, task.Send(mbox, int64(i), 16), task.Compute(c))
-					} else {
-						prog = append(prog, task.Compute(c), task.Send(mbox, int64(i), 16))
-					}
-				default:
-					prog = append(prog, task.Compute(c))
-				}
-			}
-			sys.AddTask(task.Spec{
-				Name:   fmt.Sprintf("t%d", i),
-				Period: period,
-				Phase:  vtime.Duration(rng.Intn(1000)) * vtime.Microsecond,
-				Prog:   prog,
-			})
-		}
+	for seed := int64(1); seed <= randomWorkloads; seed++ {
+		sys := randomWorkload(seed)
 		an := analyzeSystem(t, sys, 60*vtime.Millisecond)
 		completed += checkExact(t, an, fmt.Sprintf("seed %d", seed))
 		for _, a := range an.Activations {

@@ -8,70 +8,86 @@ import (
 	"emeralds/internal/attrib"
 	"emeralds/internal/core"
 	"emeralds/internal/task"
+	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
 )
+
+// multicoreWorkloads is how many seeds the multicore tests draw.
+const multicoreWorkloads = 12
+
+// runMulticore builds, boots and runs one random contended workload on
+// 2 or 4 CPUs, with live migrations injected mid-run. A non-nil sink
+// receives the trace as it is emitted instead of the ring.
+func runMulticore(t *testing.T, seed int64, sink func(trace.Event)) (*core.System, int) {
+	t.Helper()
+	policies := []core.Policy{core.PolicyCSD, core.PolicyRM, core.PolicyEDF}
+	rng := rand.New(rand.NewSource(seed))
+	cpus := 2 + 2*int(seed%2) // 2 or 4
+	sys := core.New(core.Config{
+		Policy:        policies[seed%int64(len(policies))],
+		CPUs:          cpus,
+		TraceCapacity: 1 << 20,
+	})
+	sem := sys.NewSemaphore("s0")
+	periods := []vtime.Duration{3 * vtime.Millisecond, 5 * vtime.Millisecond,
+		7 * vtime.Millisecond, 10 * vtime.Millisecond}
+	nTasks := 4 + rng.Intn(4)
+	for i := 0; i < nTasks; i++ {
+		period := periods[rng.Intn(len(periods))]
+		var prog task.Program
+		budget := period / vtime.Duration(3+rng.Intn(3))
+		var wcet vtime.Duration
+		for budget > 0 {
+			c := vtime.Duration(50+rng.Intn(300)) * vtime.Microsecond
+			if c > budget {
+				c = budget
+			}
+			budget -= c
+			wcet += c
+			if rng.Intn(3) == 0 {
+				prog = append(prog, task.Acquire(sem), task.Compute(c), task.Release(sem))
+			} else {
+				prog = append(prog, task.Compute(c))
+			}
+		}
+		sys.AddTask(task.Spec{
+			Name:   fmt.Sprintf("t%d", i),
+			Period: period,
+			WCET:   wcet,
+			Phase:  vtime.Duration(rng.Intn(500)) * vtime.Microsecond,
+			Prog:   prog,
+		})
+	}
+	if sink != nil {
+		sys.Trace().Stream(sink)
+	}
+	if err := sys.Boot(); err != nil {
+		t.Fatalf("seed %d: boot: %v", seed, err)
+	}
+	// Inject migrations throughout the run: every ~2ms pick a task
+	// and move it to the next CPU. Unsafe requests (holding a lock,
+	// already in transit) are refused — that's part of the contract.
+	k := sys.Kernel()
+	ths := k.Threads()
+	for ms := 2; ms < 60; ms += 2 {
+		at := vtime.Time(0).Add(vtime.Duration(ms) * vtime.Millisecond)
+		th := ths[rng.Intn(len(ths))]
+		k.Engine().At(at, "test:migrate", func() {
+			_ = k.Migrate(th, (th.TCB.CPU+1)%cpus)
+		})
+	}
+	sys.Run(60 * vtime.Millisecond)
+	return sys, cpus
+}
 
 // TestExactnessMulticore extends the tentpole invariant to multi-CPU
 // traces: random contended workloads on 2 and 4 CPUs, with live
 // migrations injected mid-run, must still partition every completed
 // activation exactly — including the new migration component.
 func TestExactnessMulticore(t *testing.T) {
-	policies := []core.Policy{core.PolicyCSD, core.PolicyRM, core.PolicyEDF}
 	var completed, migratedActs int
-	for seed := int64(1); seed <= 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cpus := 2 + 2*int(seed%2) // 2 or 4
-		sys := core.New(core.Config{
-			Policy:        policies[seed%int64(len(policies))],
-			CPUs:          cpus,
-			TraceCapacity: 1 << 20,
-		})
-		sem := sys.NewSemaphore("s0")
-		periods := []vtime.Duration{3 * vtime.Millisecond, 5 * vtime.Millisecond,
-			7 * vtime.Millisecond, 10 * vtime.Millisecond}
-		nTasks := 4 + rng.Intn(4)
-		for i := 0; i < nTasks; i++ {
-			period := periods[rng.Intn(len(periods))]
-			var prog task.Program
-			budget := period / vtime.Duration(3+rng.Intn(3))
-			var wcet vtime.Duration
-			for budget > 0 {
-				c := vtime.Duration(50+rng.Intn(300)) * vtime.Microsecond
-				if c > budget {
-					c = budget
-				}
-				budget -= c
-				wcet += c
-				if rng.Intn(3) == 0 {
-					prog = append(prog, task.Acquire(sem), task.Compute(c), task.Release(sem))
-				} else {
-					prog = append(prog, task.Compute(c))
-				}
-			}
-			sys.AddTask(task.Spec{
-				Name:   fmt.Sprintf("t%d", i),
-				Period: period,
-				WCET:   wcet,
-				Phase:  vtime.Duration(rng.Intn(500)) * vtime.Microsecond,
-				Prog:   prog,
-			})
-		}
-		if err := sys.Boot(); err != nil {
-			t.Fatalf("seed %d: boot: %v", seed, err)
-		}
-		// Inject migrations throughout the run: every ~2ms pick a task
-		// and move it to the next CPU. Unsafe requests (holding a lock,
-		// already in transit) are refused — that's part of the contract.
-		k := sys.Kernel()
-		ths := k.Threads()
-		for ms := 2; ms < 60; ms += 2 {
-			at := vtime.Time(0).Add(vtime.Duration(ms) * vtime.Millisecond)
-			th := ths[rng.Intn(len(ths))]
-			k.Engine().At(at, "test:migrate", func() {
-				_ = k.Migrate(th, (th.TCB.CPU+1)%cpus)
-			})
-		}
-		sys.Run(60 * vtime.Millisecond)
+	for seed := int64(1); seed <= multicoreWorkloads; seed++ {
+		sys, cpus := runMulticore(t, seed, nil)
 		if sys.Trace().Dropped() != 0 {
 			t.Fatalf("seed %d: trace ring overflowed", seed)
 		}

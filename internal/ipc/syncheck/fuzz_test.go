@@ -1,8 +1,14 @@
 package syncheck
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+
+	"emeralds/internal/trace"
 )
 
 // FuzzSyncheckParse throws arbitrary bytes at the trace-JSON parser and
@@ -35,4 +41,52 @@ func FuzzSyncheckParse(f *testing.F) {
 		rep1.OK()
 		_ = rep1.String()
 	})
+}
+
+// TestCheckerMatchesCheckOnCorpus replays every committed
+// FuzzSyncheckParse seed through a streaming trace log into a Checker
+// and requires the same report as Check over the parsed event slice.
+func TestCheckerMatchesCheckOnCorpus(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzSyncheckParse/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus: %v", err)
+	}
+	parsed := 0
+	for _, f := range files {
+		data := readCorpusEntry(t, f)
+		events, _, err := trace.ParseJSON(data)
+		if err != nil {
+			continue // unparseable seeds exercise only the parser
+		}
+		parsed++
+		ck := NewChecker()
+		log := trace.New(1)
+		log.Stream(ck.Add)
+		for _, e := range events {
+			log.AddDurCPU(e.At, e.Kind, e.Task, e.Detail, e.Dur, e.CPU)
+		}
+		if got, want := ck.Finish(), Check(events); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: streamed %+v, Check %+v", f, got, want)
+		}
+	}
+	if parsed < 3 {
+		t.Errorf("only %d corpus entries parsed", parsed)
+	}
+}
+
+// readCorpusEntry decodes a one-value "go test fuzz v1" corpus file.
+func readCorpusEntry(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(string(raw), "\n")
+	body = strings.TrimSpace(body)
+	body = strings.TrimSuffix(strings.TrimPrefix(body, "[]byte("), ")")
+	s, err := strconv.Unquote(body)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

@@ -95,52 +95,68 @@ type message struct {
 	hasRecv  bool
 }
 
+// comm is one communication event of the trace, in log order.
+type comm struct {
+	send  bool
+	isr   bool // an ISR injection (kept only for queues that are received from)
+	queue string
+	task  string
+}
+
+// Checker is Check in streaming form: Add takes the trace one event at
+// a time, in log order, keeping only the communication events, and
+// Finish runs the check. It lets a run be checked while it executes
+// (trace.Log.Stream) without ever retaining the event log.
+type Checker struct {
+	comms   []comm
+	taskIdx map[string]int // task name → vector-clock index
+}
+
+// NewChecker returns an empty streaming checker.
+func NewChecker() *Checker { return &Checker{taskIdx: map[string]int{}} }
+
 // Check analyzes the communication events of a trace log.
 func Check(events []trace.Event) *Report {
-	rep := &Report{Synchronizable: true}
+	ck := NewChecker()
+	for _, e := range events {
+		ck.Add(e)
+	}
+	return ck.Finish()
+}
 
-	// Task name → vector-clock index. The trace's Task field is the
-	// task name; "isr" covers interrupt-context sends.
-	taskIdx := map[string]int{}
-	idxOf := func(name string) int {
-		i, ok := taskIdx[name]
-		if !ok {
-			i = len(taskIdx)
-			taskIdx[name] = i
-		}
-		return i
-	}
-	// First pass: collect communication events and the task universe,
-	// so vector clocks have a fixed width on the second pass.
-	type comm struct {
-		send  bool
-		queue string
-		task  string
-		pos   int
-	}
-	var comms []comm
-	queueSeen := map[string]bool{}
-	for pos, ev := range events {
-		switch ev.Kind {
-		case trace.MsgSend, trace.VLinkSend:
-			comms = append(comms, comm{send: true, queue: ev.Detail, task: ev.Task, pos: pos})
-			idxOf(ev.Task)
-			queueSeen[ev.Detail] = true
-		case trace.MsgRecv, trace.VLinkRecv:
-			comms = append(comms, comm{send: false, queue: ev.Detail, task: ev.Task, pos: pos})
-			idxOf(ev.Task)
-			queueSeen[ev.Detail] = true
-		case trace.Interrupt:
-			// ISR mailbox injection traces as an interrupt whose detail
-			// is the bare queue name ("<queue> drop" delivered nothing,
-			// "vector N" is not a queue).
-			if ev.Detail != "" && !strings.ContainsRune(ev.Detail, ' ') {
-				comms = append(comms, comm{send: true, queue: ev.Detail, task: ev.Task, pos: pos})
-				idxOf(ev.Task)
-				queueSeen[ev.Detail] = true
-			}
+// Add records the next event of the trace if it communicates. The
+// trace's Task field is the task name; "isr" covers interrupt-context
+// sends.
+func (ck *Checker) Add(ev trace.Event) {
+	switch ev.Kind {
+	case trace.MsgSend, trace.VLinkSend:
+		ck.add(comm{send: true, queue: ev.Detail, task: ev.Task})
+	case trace.MsgRecv, trace.VLinkRecv:
+		ck.add(comm{queue: ev.Detail, task: ev.Task})
+	case trace.Interrupt:
+		// ISR mailbox injection traces as an interrupt whose detail
+		// is the bare queue name ("<queue> drop" delivered nothing,
+		// "vector N" is not a queue).
+		if ev.Detail != "" && !strings.ContainsRune(ev.Detail, ' ') {
+			ck.add(comm{send: true, isr: true, queue: ev.Detail, task: ev.Task})
 		}
 	}
+}
+
+func (ck *Checker) add(c comm) {
+	ck.comms = append(ck.comms, c)
+	if _, ok := ck.taskIdx[c.task]; !ok {
+		ck.taskIdx[c.task] = len(ck.taskIdx)
+	}
+}
+
+// Finish checks the communication recorded so far. The whole trace is
+// needed before matching starts: the task universe fixes the vector
+// clocks' width, and an ISR send counts only if its queue is received
+// from somewhere in the trace.
+func (ck *Checker) Finish() *Report {
+	rep := &Report{Synchronizable: true}
+	comms, taskIdx := ck.comms, ck.taskIdx
 	// Injection heuristics can misfire on traces where an interrupt
 	// detail names something that is not a queue: only keep interrupt
 	// sends whose queue also appears in a real send/recv event. (A
@@ -186,8 +202,7 @@ func Check(events []trace.Event) *Report {
 	}
 
 	for _, c := range comms {
-		isISR := events[c.pos].Kind == trace.Interrupt
-		if isISR && !realQueue[c.queue] {
+		if c.isr && !realQueue[c.queue] {
 			continue
 		}
 		s := stat(c.queue)

@@ -25,16 +25,7 @@ func ExportTrace(s *Scenario, w io.Writer) (err error) {
 	if err := sys.Boot(); err != nil {
 		return err
 	}
-	eng := sys.Kernel().Engine()
-	for i, th := range aper {
-		if th == nil {
-			continue
-		}
-		th := th
-		for _, at := range s.Tasks[i].Arrivals {
-			eng.At(at, "arrival", func() { sys.Kernel().ReleaseAperiodic(th) })
-		}
-	}
+	scheduleArrivals(s, sys, aper)
 	sys.Run(s.Horizon)
 	if d := sys.Trace().Dropped(); d > 0 {
 		return fmt.Errorf("scenario: trace ring dropped %d events", d)

@@ -8,11 +8,13 @@ import (
 	"emeralds/internal/attrib"
 	"emeralds/internal/costmodel"
 	"emeralds/internal/ipc/syncheck"
+	"emeralds/internal/kernel"
 	"emeralds/internal/metrics"
 	"emeralds/internal/sched"
 	"emeralds/internal/sim"
 	"emeralds/internal/task"
 	"emeralds/internal/telemetry"
+	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
 )
 
@@ -85,38 +87,40 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 		res.Findings = append(res.Findings, Finding{OraclePanic, "build: " + err.Error()})
 		return res
 	}
-	// Flight recorder: ~256 samples across the horizon. The sampler
-	// only reads kernel state, so the simulation (and every other
-	// oracle) is unaffected by its presence.
-	interval := s.Horizon / 256
-	if interval <= 0 {
-		interval = vtime.Microsecond
+	runBuilt(s, sys, aper, sampleUs, res)
+	return res
+}
+
+// runBuilt is RunSampled past Build: it boots and simulates the built
+// node and records the oracles' verdicts in res.
+func runBuilt(s *Scenario, sys *kernel.Node, aper []*kernel.Thread, sampleUs float64, res *Result) {
+	// The trace oracles consume events as the kernel emits them, so the
+	// node's log never allocates its ring. Syncheck is fed only where it
+	// applies.
+	log := sys.Trace()
+	replay := attrib.NewReplay()
+	var checker *syncheck.Checker
+	if len(s.Mailboxes) > 0 || len(s.VLinks) > 0 {
+		checker = syncheck.NewChecker()
 	}
-	if sampleUs > 0 {
-		interval = vtime.Duration(sampleUs * 1000)
-	}
-	rec, err := telemetry.Attach(sys.Kernel(), telemetry.Config{Interval: interval, Capacity: 512})
+	log.Stream(func(e trace.Event) {
+		replay.Step(e)
+		if checker != nil {
+			checker.Add(e)
+		}
+	})
+	// Flight recorder. The sampler only reads kernel state, so the
+	// simulation (and every other oracle) is unaffected by its presence.
+	rec, err := telemetry.Attach(sys.Kernel(), recorderConfig(s, sampleUs))
 	if err != nil {
 		res.Findings = append(res.Findings, Finding{OraclePanic, "telemetry: " + err.Error()})
-		return res
+		return
 	}
 	if err := sys.Boot(); err != nil {
 		res.Findings = append(res.Findings, Finding{OraclePanic, "boot: " + err.Error()})
-		return res
+		return
 	}
-	// Aperiodic arrivals are plain engine events; ReleaseAperiodic
-	// ignores arrivals that land while a job is still in flight
-	// (counted as overruns, like a lost periodic release).
-	eng := sys.Kernel().Engine()
-	for i, th := range aper {
-		if th == nil {
-			continue
-		}
-		th := th
-		for _, at := range s.Tasks[i].Arrivals {
-			eng.At(at, "arrival", func() { sys.Kernel().ReleaseAperiodic(th) })
-		}
-	}
+	scheduleArrivals(s, sys, aper)
 	sys.Run(s.Horizon)
 
 	st := sys.Stats()
@@ -128,72 +132,25 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 	}
 	res.counters = metrics.MergeShards(shards)
 
-	// (e) telemetry annotations: SLO failures, burn-rate alerts, and
-	// change points over the sampled series. The p99 objective scales
-	// with the task set — a response beyond the longest period is
-	// pathological for any workload, while judging a 500 ms-period set
-	// against the stock 10 ms target would flag every slow-but-healthy
-	// scenario.
-	slo := telemetry.SLO{}
-	for _, t := range s.Tasks {
-		if p := t.Spec.Period.Micros(); p > slo.P99Us {
-			slo.P99Us = p
-		}
-	}
-	for _, msg := range telemetry.Analyze(rec.Series(), slo).Anomalies() {
-		res.Anomalies = append(res.Anomalies, Finding{AnnoTelemetry, msg})
-	}
+	res.Anomalies = telemetryAnomalies(s, rec.Series())
 
 	// (d) kernel invariants.
 	for _, msg := range sys.Kernel().CheckInvariants() {
 		res.Findings = append(res.Findings, Finding{OracleInvariant, msg})
 	}
 
-	// (b)/(c) need the trace; the ring was sized from the horizon, so an
-	// overflow here is itself a finding (the sizing formula is part of
-	// the campaign's contract with attrib's truncation refusal).
-	log := sys.Trace()
-	if d := log.Dropped(); d > 0 {
-		res.Findings = append(res.Findings, Finding{OracleTruncated,
-			fmt.Sprintf("%d events dropped with capacity %d", d, s.TraceCapacity())})
+	// (b)/(c) replay the trace. Build sizes the ring an export would
+	// retain from the horizon, so a run emitting more events than that
+	// is itself a finding: the sizing formula is the contract ExportTrace
+	// and attrib's truncation refusal rely on.
+	if f, over := truncation(log.Total(), s.TraceCapacity()); over {
+		res.Findings = append(res.Findings, f)
 	} else {
-		// (f) synchronizability: every generated communication topology
-		// is a DAG (pipelines, fans), which is provably crown-free — so
-		// any crown in the observed send/receive order, or a receive
-		// that FIFO matching cannot pair with an earlier send, is a
-		// kernel bug, not a workload property. Applies to any scenario
-		// with queues.
-		if len(s.Mailboxes) > 0 || len(s.VLinks) > 0 {
-			if rep := syncheck.Check(log.Events()); !rep.OK() {
-				detail := fmt.Sprintf("unmatched receives: %d", rep.Unmatched)
-				if !rep.Synchronizable {
-					detail = "crown: " + strings.Join(rep.Crown, "; ")
-				}
-				res.Findings = append(res.Findings, Finding{OracleSync, detail})
-			}
+		if checker != nil {
+			res.Findings = append(res.Findings, syncFindings(checker.Finish())...)
 		}
-		an, err := attrib.Analyze(log.Events(), 0)
-		if err != nil {
-			res.Findings = append(res.Findings, Finding{OracleResidual, "analyze: " + err.Error()})
-		} else {
-			for i := range an.Activations {
-				a := &an.Activations[i]
-				if a.Aborted {
-					continue
-				}
-				if r := a.Residual(); r != 0 {
-					res.Findings = append(res.Findings, Finding{OracleResidual,
-						fmt.Sprintf("%s activation %d: residual %v", a.Task, a.Index, r)})
-				}
-			}
-			if s.InversionClean() {
-				for _, iv := range an.Inversions {
-					res.Findings = append(res.Findings, Finding{OracleInversion,
-						fmt.Sprintf("%s blocked on %s while %s ran [%v, %v]",
-							iv.Task, iv.Sem, iv.Runner, iv.From, iv.To)})
-				}
-			}
-		}
+		an, err := replay.Finish()
+		res.Findings = append(res.Findings, attribFindings(s, an, err)...)
 	}
 
 	// (a) differential oracle, only where the analysis is exact.
@@ -204,7 +161,101 @@ func RunSampled(s *Scenario, sampleUs float64) (res *Result) {
 				fmt.Sprintf("analysis feasible but %d misses in %v", st.Misses, s.Horizon)})
 		}
 	}
-	return res
+}
+
+// telemetryAnomalies are the (e) annotations over the flight
+// recorder's series: SLO failures, burn-rate alerts, and change points.
+// The p99 objective scales with the task set — a response beyond the
+// longest period is pathological for any workload, while judging a
+// 500 ms-period set against the stock 10 ms target would flag every
+// slow-but-healthy scenario.
+func telemetryAnomalies(s *Scenario, series *telemetry.Series) []Finding {
+	slo := telemetry.SLO{}
+	for _, t := range s.Tasks {
+		if p := t.Spec.Period.Micros(); p > slo.P99Us {
+			slo.P99Us = p
+		}
+	}
+	var out []Finding
+	for _, msg := range telemetry.Analyze(series, slo).Anomalies() {
+		out = append(out, Finding{AnnoTelemetry, msg})
+	}
+	return out
+}
+
+// syncFindings is the (f) synchronizability verdict. Every generated
+// communication topology is a DAG (pipelines, fans), which is provably
+// crown-free — so any crown in the observed send/receive order, or a
+// receive that FIFO matching cannot pair with an earlier send, is a
+// kernel bug, not a workload property. Applies to any scenario with
+// queues.
+func syncFindings(rep *syncheck.Report) []Finding {
+	if rep.OK() {
+		return nil
+	}
+	detail := fmt.Sprintf("unmatched receives: %d", rep.Unmatched)
+	if !rep.Synchronizable {
+		detail = "crown: " + strings.Join(rep.Crown, "; ")
+	}
+	return []Finding{{OracleSync, detail}}
+}
+
+// attribFindings are the (b) residual and (c) inversion verdicts over
+// the run's attribution (or the error that stopped its replay).
+func attribFindings(s *Scenario, an *attrib.Analysis, err error) []Finding {
+	if err != nil {
+		return []Finding{{OracleResidual, "analyze: " + err.Error()}}
+	}
+	var out []Finding
+	for i := range an.Activations {
+		a := &an.Activations[i]
+		if a.Aborted {
+			continue
+		}
+		if r := a.Residual(); r != 0 {
+			out = append(out, Finding{OracleResidual,
+				fmt.Sprintf("%s activation %d: residual %v", a.Task, a.Index, r)})
+		}
+	}
+	if s.InversionClean() {
+		for _, iv := range an.Inversions {
+			out = append(out, Finding{OracleInversion,
+				fmt.Sprintf("%s blocked on %s while %s ran [%v, %v]",
+					iv.Task, iv.Sem, iv.Runner, iv.From, iv.To)})
+		}
+	}
+	return out
+}
+
+// truncation is the OracleTruncated finding for a run that emitted
+// total trace events, judged against the ring capacity Build sizes: a
+// ring that small would have dropped the excess.
+func truncation(total uint64, capacity int) (Finding, bool) {
+	if total <= uint64(capacity) {
+		return Finding{}, false
+	}
+	return Finding{OracleTruncated,
+		fmt.Sprintf("%d events dropped with capacity %d", total-uint64(capacity), capacity)}, true
+}
+
+// recorderConfig plans the flight recorder for a run: ~256 samples
+// across the horizon unless sampleUs overrides the cadence. Sampling at
+// interval, 2·interval, … ≤ Horizon takes at most Horizon/interval + 1
+// samples, so that bound (capped at 512) sizes the ring without ever
+// overwriting one.
+func recorderConfig(s *Scenario, sampleUs float64) telemetry.Config {
+	interval := s.Horizon / 256
+	if interval <= 0 {
+		interval = vtime.Microsecond
+	}
+	if sampleUs > 0 {
+		interval = vtime.Duration(sampleUs * 1000)
+	}
+	capacity := 512
+	if interval > 0 {
+		capacity = int(min(512, s.Horizon/interval+2))
+	}
+	return telemetry.Config{Interval: interval, Capacity: capacity}
 }
 
 // Feasible runs the schedulability analysis the simulator's Boot

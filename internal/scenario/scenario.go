@@ -207,6 +207,23 @@ func Build(s *Scenario) (*kernel.Node, []*kernel.Thread, error) {
 	return sys, aper, nil
 }
 
+// scheduleArrivals queues the aperiodic tasks' arrivals on a booted
+// node as plain engine events. ReleaseAperiodic ignores arrivals that
+// land while a job is still in flight (counted as overruns, like a lost
+// periodic release).
+func scheduleArrivals(s *Scenario, sys *kernel.Node, aper []*kernel.Thread) {
+	eng := sys.Kernel().Engine()
+	for i, th := range aper {
+		if th == nil {
+			continue
+		}
+		th := th
+		for _, at := range s.Tasks[i].Arrivals {
+			eng.At(at, "arrival", func() { sys.Kernel().ReleaseAperiodic(th) })
+		}
+	}
+}
+
 // WriteRepro serializes the scenario as an indented JSON repro file.
 func WriteRepro(s *Scenario, path string) error {
 	data, err := json.MarshalIndent(s, "", "  ")

@@ -169,9 +169,10 @@ func (r *Recorder) layout() {
 	for b := 0; b < RespBuckets; b++ {
 		add(RespColName(b), KindCounter)
 	}
+	slab := make([]uint64, len(r.names)*r.capacity)
 	r.vals = make([][]uint64, len(r.names))
 	for i := range r.vals {
-		r.vals[i] = make([]uint64, r.capacity)
+		r.vals[i] = slab[i*r.capacity : (i+1)*r.capacity : (i+1)*r.capacity]
 	}
 }
 

@@ -40,8 +40,11 @@ type RawLog struct {
 }
 
 // Raw converts the retained events to their serializable form.
-func (l *Log) Raw() RawLog {
-	evs := l.Events()
+func (l *Log) Raw() RawLog { return l.rawOf(l.Events()) }
+
+// rawOf serializes evs, a snapshot of the log's retained events, under
+// the log's lifetime and dropped counts.
+func (l *Log) rawOf(evs []Event) RawLog {
 	out := RawLog{Schema: RawSchema, Total: l.Total(), Dropped: l.Dropped(), Events: make([]RawEvent, len(evs))}
 	for i, e := range evs {
 		out.Events[i] = RawEvent{

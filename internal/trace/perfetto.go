@@ -234,6 +234,7 @@ func (l *Log) ExportPerfetto(w io.Writer) error {
 	if l == nil {
 		return fmt.Errorf("trace: nil log")
 	}
-	doc := buildPerfettoDoc(l.Events(), map[string]any{"emeraldsTrace": l.Raw()})
+	evs := l.Events()
+	doc := buildPerfettoDoc(evs, map[string]any{"emeraldsTrace": l.rawOf(evs)})
 	return json.NewEncoder(w).Encode(doc)
 }

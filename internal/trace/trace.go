@@ -1,7 +1,9 @@
 // Package trace records kernel execution events into a bounded ring
 // buffer for debugging, validation tests, and the example programs'
-// schedule dumps. Tracing is O(1) per event and allocation-free after
-// the ring fills.
+// schedule dumps, or forwards them as they happen to an online
+// consumer (Log.Stream). Tracing is O(1) per event and allocation-free
+// once the ring exists; the ring is allocated on the first retained
+// event, so a streaming log never allocates one.
 package trace
 
 import (
@@ -108,9 +110,11 @@ func (e Event) String() string {
 // callers never need to guard their Add calls.
 type Log struct {
 	ring    []Event
+	cap     int // ring size, allocated on the first retained event
 	next    int
 	wrapped bool
 	total   uint64
+	sink    func(Event)
 }
 
 // New returns a log holding the most recent cap events.
@@ -118,7 +122,18 @@ func New(cap int) *Log {
 	if cap <= 0 {
 		cap = 1024
 	}
-	return &Log{ring: make([]Event, 0, cap)}
+	return &Log{cap: cap}
+}
+
+// Stream forwards every later event to sink as it is recorded instead
+// of retaining it: Events stays empty and Dropped zero, while Total
+// still counts the forwarded events. Install the sink before the first
+// event to hand the consumer the whole run; nil restores retention.
+// Like Add, it is a no-op on a nil log.
+func (l *Log) Stream(sink func(Event)) {
+	if l != nil {
+		l.sink = sink
+	}
 }
 
 // Add records an event.
@@ -143,6 +158,13 @@ func (l *Log) AddDurCPU(at vtime.Time, kind Kind, taskName, detail string, dur v
 	}
 	l.total++
 	e := Event{At: at, Kind: kind, Task: taskName, Detail: detail, Dur: dur, CPU: cpu}
+	if l.sink != nil {
+		l.sink(e)
+		return
+	}
+	if l.ring == nil {
+		l.ring = make([]Event, 0, l.cap)
+	}
 	if len(l.ring) < cap(l.ring) {
 		l.ring = append(l.ring, e)
 		return

@@ -102,3 +102,57 @@ func TestEventString(t *testing.T) {
 		t.Errorf("event string %q", e.String())
 	}
 }
+
+func TestStreamForwardsInsteadOfRetaining(t *testing.T) {
+	l := New(2)
+	var got []Event
+	l.Stream(func(e Event) { got = append(got, e) })
+	for i := 0; i < 5; i++ {
+		l.AddDurCPU(vtime.Time(i), Preempt, "x", "d", vtime.Duration(i), 1)
+	}
+	if len(got) != 5 || got[4] != (Event{At: 4, Kind: Preempt, Task: "x", Detail: "d", Dur: 4, CPU: 1}) {
+		t.Fatalf("forwarded %v", got)
+	}
+	if l.Total() != 5 || l.Dropped() != 0 || len(l.Events()) != 0 || l.ring != nil {
+		t.Errorf("streaming log total=%d dropped=%d retained=%d ring=%v",
+			l.Total(), l.Dropped(), len(l.Events()), l.ring != nil)
+	}
+	l.Stream(nil)
+	l.Add(5, Release, "y", "")
+	if evs := l.Events(); len(evs) != 1 || evs[0].Task != "y" || l.Total() != 6 {
+		t.Errorf("after Stream(nil): events %v total %d", evs, l.Total())
+	}
+}
+
+func TestRingAllocatedOnFirstEvent(t *testing.T) {
+	l := New(1 << 20)
+	if l.ring != nil || len(l.Events()) != 0 {
+		t.Fatal("New allocated the ring before any event")
+	}
+	l.Add(1, Release, "a", "")
+	if cap(l.ring) != 1<<20 {
+		t.Errorf("ring cap %d, want %d", cap(l.ring), 1<<20)
+	}
+}
+
+// TestLogStreamZeroAlloc pins the hot-path contract: forwarding an
+// event to a sink and overwriting a full ring both allocate nothing.
+func TestLogStreamZeroAlloc(t *testing.T) {
+	var n int
+	stream := New(8)
+	stream.Stream(func(e Event) { n += int(e.Kind) })
+	if a := testing.AllocsPerRun(1000, func() {
+		stream.AddDur(1, Complete, "x", "detail", 2)
+	}); a != 0 {
+		t.Errorf("streamed Add allocates %v per event", a)
+	}
+	ring := New(8)
+	for i := 0; i < 8; i++ {
+		ring.Add(vtime.Time(i), Dispatch, "x", "")
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		ring.AddDur(1, Complete, "x", "detail", 2)
+	}); a != 0 {
+		t.Errorf("Add to a full ring allocates %v per event", a)
+	}
+}

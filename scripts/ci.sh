@@ -114,11 +114,13 @@ grep -q '"schema": "emeralds.bench/v1"' "$tmp/bench.json"
 echo "== allocation smoke gate =="
 # The zero-alloc contracts behind the hot-path redesign, pinned with
 # testing.AllocsPerRun: event dispatch off the timer wheel, bitmap
-# queue push/pop, the FP scheduler's select, and the instrumented CSD
-# select. A steady-state allocation anywhere on these paths fails here
-# before it can show up as a bench regression.
+# queue push/pop, the FP scheduler's select, the instrumented CSD
+# select, and a trace event forwarded to a streaming sink or written
+# into a full ring. A steady-state allocation anywhere on these paths
+# fails here before it can show up as a bench regression.
 go test -run 'ZeroAlloc|AllocationFree' \
-    ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/
+    ./internal/sim/ ./internal/schedq/ ./internal/sched/ ./internal/metrics/ \
+    ./internal/trace/
 
 echo "== bench regression gate =="
 # Committed full-run numbers: this PR's BENCH file vs the previous
