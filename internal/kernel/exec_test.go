@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"emeralds/internal/costmodel"
@@ -239,6 +241,34 @@ func TestBootErrors(t *testing.T) {
 	}
 	if err := k.Boot(); err == nil {
 		t.Error("double boot succeeded")
+	}
+}
+
+// TestBootRefusesDuplicateTaskNames: tasks are keyed by name in the
+// trace, so Boot refuses a repeated name (explicit, or colliding with a
+// default one) and an empty name, and the kernel stays unbooted.
+func TestBootRefusesDuplicateTaskNames(t *testing.T) {
+	spec := func(name string) task.Spec {
+		return task.Spec{Name: name, Period: 10 * vtime.Millisecond, WCET: vtime.Millisecond}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(k *Kernel)
+		want  string
+	}{
+		{"repeated", func(k *Kernel) { k.AddTask(spec("a")); k.AddTask(spec("b")); k.AddTask(spec("a")) }, `"a"`},
+		{"default-collision", func(k *Kernel) { k.AddTask(spec("")); k.AddTask(spec("task0")) }, `"task0"`},
+		{"empty", func(k *Kernel) { k.AddTask(spec("a")).TCB.Name = "" }, `""`},
+	} {
+		k := newEDFKernel(t, nil)
+		tc.setup(k)
+		err := k.Boot()
+		if !errors.Is(err, ErrDuplicateTask) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Boot = %v, want ErrDuplicateTask naming %s", tc.name, err, tc.want)
+		}
+		if k.booted {
+			t.Errorf("%s: kernel booted despite the error", tc.name)
+		}
 	}
 }
 

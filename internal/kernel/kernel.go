@@ -14,6 +14,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 
 	"emeralds/internal/costmodel"
@@ -672,6 +673,12 @@ func (k *Kernel) SetSchedulers(ss []sched.Scheduler) {
 	}
 }
 
+// ErrDuplicateTask is returned (wrapped with the name) by Boot when a
+// task's name is empty or repeats another's: traces, the Perfetto
+// export's tracks and latency attribution all key tasks by name, so
+// two tasks named alike would be merged into one.
+var ErrDuplicateTask = errors.New("kernel: empty or duplicate task name")
+
 // Boot assigns priorities, admits every thread to the scheduler and
 // schedules the first periodic releases. For a CSD scheduler the queue
 // partition in the scheduler is applied to the RM-sorted TCBs —
@@ -691,6 +698,9 @@ func (k *Kernel) Boot() error {
 	if k.ramErr != nil {
 		k.booted = false
 		return k.ramErr
+	}
+	if err := k.checkNames(); err != nil {
+		return err
 	}
 	k.booted = true
 	tcbs := make([]*task.TCB, len(k.threads))
@@ -744,6 +754,19 @@ func (k *Kernel) Boot() error {
 			th.nextRel = vtime.Time(0).Add(th.TCB.Spec.Phase)
 			k.scheduleRelease(th)
 		}
+	}
+	return nil
+}
+
+// checkNames refuses empty and repeated task names.
+func (k *Kernel) checkNames() error {
+	seen := make(map[string]struct{}, len(k.threads))
+	for _, th := range k.threads {
+		name := th.TCB.Name
+		if _, dup := seen[name]; dup || name == "" {
+			return fmt.Errorf("%w: %q", ErrDuplicateTask, name)
+		}
+		seen[name] = struct{}{}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 
 	"emeralds/internal/costmodel"
@@ -100,13 +101,13 @@ func TestVLinkKernelMPMCFanInFanOut(t *testing.T) {
 	k, _ := New(nil, Options{Profile: prof, Scheduler: sched.NewEDF(prof)})
 	vl := k.NewVLink("q", 8, false)
 	for i := 0; i < 2; i++ {
-		k.AddTask(task.Spec{Name: "prod", Period: 10 * vtime.Millisecond,
+		k.AddTask(task.Spec{Name: fmt.Sprintf("prod%d", i), Period: 10 * vtime.Millisecond,
 			Phase: vtime.Duration(i) * vtime.Millisecond,
 			Prog:  task.Program{task.VSend(vl, int64(i+1), 8, 2)}})
 	}
 	var cons [2]*Thread
 	for i := 0; i < 2; i++ {
-		cons[i] = k.AddTask(task.Spec{Name: "cons", Period: 10 * vtime.Millisecond,
+		cons[i] = k.AddTask(task.Spec{Name: fmt.Sprintf("cons%d", i), Period: 10 * vtime.Millisecond,
 			Phase: vtime.Duration(4+i) * vtime.Millisecond,
 			Prog:  task.Program{task.VRecv(vl), task.VRecv(vl)}})
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"emeralds/internal/vtime"
@@ -131,5 +132,25 @@ func TestDroppedTravelsThroughJSON(t *testing.T) {
 	}
 	if dropped != 3 {
 		t.Errorf("dropped = %d, want 3", dropped)
+	}
+}
+
+// TestJSONPrimitivesMatchEncodingJSON pins the encoder's number and
+// string rules to encoding/json's directly, including the 'e' float
+// format that trace timestamps (integer ns / 1e3) never reach.
+func TestJSONPrimitivesMatchEncodingJSON(t *testing.T) {
+	for _, f := range []float64{0, 1, -1, 0.001, 1234.567, 1e-6, 9.99e-7, -1.5e-8, 1e-10,
+		5e-324, 1e20, 1e21, -1e21, 1.7976931348623157e308, 9223372036854775.807} {
+		want, _ := json.Marshal(f)
+		if got := appendFloat(nil, f); !bytes.Equal(got, want) {
+			t.Errorf("appendFloat(%v) = %s, want %s", f, got, want)
+		}
+	}
+	for _, s := range []string{"", "plain", `"q" \ /`, "<a href='x'>&amp;</a>",
+		"\x00\x01\b\f\n\r\t\x1f\x7f", "é€𝄞", "\u2028x\u2029", "\xff", "a\xc3", "\xed\xa0\x80", "ok\xe2\x80"} {
+		want, _ := json.Marshal(s)
+		if got := appendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("appendString(%q) = %s, want %s", s, got, want)
+		}
 	}
 }

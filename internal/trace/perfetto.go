@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
 
 	"emeralds/internal/vtime"
 )
@@ -31,13 +30,16 @@ import (
 //
 // Timestamps are microseconds (the trace-event unit); virtual time is
 // nanoseconds, so sub-microsecond costs keep three decimal places.
-// Each JSON object is a map, and encoding/json orders map keys
-// lexically, so the export is byte-deterministic for a given event
-// sequence.
+// Each object is appended straight into a bounded buffer with its keys
+// in lexical order and numbers and strings formatted as encoding/json
+// formats them (DESIGN.md §3.9), so the export is byte-deterministic
+// for a given event sequence and byte-identical to marshalling the
+// same objects as maps.
 
-// perfettoExporter accumulates trace-event objects.
+// perfettoExporter writes trace-event objects as it derives them.
 type perfettoExporter struct {
-	events []map[string]any
+	jsonWriter
+	n      int            // traceEvents elements written
 	multi  bool           // per-CPU processes (any event names a CPU > 0)
 	tids   map[tidKey]int // (pid, task) → track id
 	ntids  int
@@ -64,6 +66,27 @@ func (p *perfettoExporter) pid(cpu int) int {
 	return cpu + 1
 }
 
+// open starts the next traceEvents element.
+func (p *perfettoExporter) open() []byte {
+	if p.n > 0 {
+		p.buf = append(p.buf, ',')
+	}
+	p.n++
+	return append(p.buf, '{')
+}
+
+// end closes an element with the keys every track event ends with.
+func (p *perfettoExporter) end(b []byte, tid int, at vtime.Time) {
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+	b = appendFloat(append(b, `,"ts":`...), us(at))
+	p.buf = append(b, '}')
+	p.maybeFlush()
+}
+
+func appendPid(b []byte, pid int) []byte {
+	return strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+}
+
 // tid returns the stable per-(process, task) track id, emitting the
 // thread_name metadata event on first use.
 func (p *perfettoExporter) tid(pid int, task string) int {
@@ -74,43 +97,72 @@ func (p *perfettoExporter) tid(pid int, task string) int {
 	p.ntids++
 	id := p.ntids
 	p.tids[key] = id
-	p.events = append(p.events, map[string]any{
-		"ph": "M", "name": "thread_name", "pid": pid, "tid": id,
-		"args": map[string]any{"name": task},
-	})
+	b := appendString(append(p.open(), `"args":{"name":`...), task)
+	b = appendPid(append(b, `},"name":"thread_name","ph":"M"`...), pid)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(id), 10)
+	p.buf = append(b, '}')
 	return id
+}
+
+// processName emits the "M"/process_name metadata event for a CPU's
+// process: "emeralds" alone, or "emeralds cpuN" on multicore traces.
+func (p *perfettoExporter) processName(cpu int) {
+	b := append(p.open(), `"args":{"name":"emeralds`...)
+	if p.multi {
+		b = strconv.AppendInt(append(b, " cpu"...), int64(cpu), 10)
+	}
+	p.buf = append(appendPid(append(b, `"},"name":"process_name","ph":"M"`...), p.pid(cpu)), '}')
 }
 
 func (p *perfettoExporter) closeSlice(cpu int, at vtime.Time) {
 	if p.cur[cpu] == "" {
 		return
 	}
-	p.events = append(p.events, map[string]any{
-		"ph": "X", "name": "run", "cat": "task",
-		"pid": p.pid(cpu), "tid": p.tid(p.pid(cpu), p.cur[cpu]),
-		"ts": us(p.start[cpu]), "dur": us(at) - us(p.start[cpu]),
-	})
+	pid := p.pid(cpu)
+	tid := p.tid(pid, p.cur[cpu])
+	b := appendFloat(append(p.open(), `"cat":"task","dur":`...), us(at)-us(p.start[cpu]))
+	b = appendPid(append(b, `,"name":"run","ph":"X"`...), pid)
+	p.end(b, tid, p.start[cpu])
 	p.cur[cpu] = ""
 }
 
+// flow emits one end of a flow arrow: ph "s" starts it, "f" lands it.
+func (p *perfettoExporter) flow(ph string, id int, name, cat string, cpu int, task string, at vtime.Time) {
+	pid := p.pid(cpu)
+	tid := p.tid(pid, task)
+	b := p.open()
+	if ph == "f" {
+		b = append(b, `"bp":"e",`...)
+	}
+	b = append(append(append(b, `"cat":"`...), cat...), `","id":`...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(append(append(b, `,"name":"`...), name...), `","ph":"`...)
+	b = appendPid(append(append(b, ph...), '"'), pid)
+	p.end(b, tid, at)
+}
+
 func (p *perfettoExporter) instant(e Event) {
-	ev := map[string]any{
-		"ph": "i", "s": "t", "name": e.Kind.String(), "cat": "kernel",
-		"pid": p.pid(e.CPU), "tid": p.tid(p.pid(e.CPU), e.Task), "ts": us(e.At),
+	pid := p.pid(e.CPU)
+	tid := p.tid(pid, e.Task)
+	b := p.open()
+	if e.Detail != "" || e.Dur != 0 {
+		b = append(b, `"args":{`...)
+		if e.Detail != "" {
+			b = appendString(append(b, `"detail":`...), e.Detail)
+		}
+		if e.Dur != 0 {
+			if e.Detail != "" {
+				b = append(b, ',')
+			}
+			// Occupancy-end events carry the kernel overhead consumed
+			// during the quantum they close (see Event.Dur).
+			b = appendFloat(append(b, `"overhead_us":`...), float64(e.Dur)/1e3)
+		}
+		b = append(b, "},"...)
 	}
-	args := map[string]any{}
-	if e.Detail != "" {
-		args["detail"] = e.Detail
-	}
-	if e.Dur != 0 {
-		// Occupancy-end events carry the kernel overhead consumed during
-		// the quantum they close (see Event.Dur).
-		args["overhead_us"] = float64(e.Dur) / 1e3
-	}
-	if len(args) > 0 {
-		ev["args"] = args
-	}
-	p.events = append(p.events, ev)
+	b = appendString(append(b, `"cat":"kernel","name":`...), e.Kind.String())
+	b = appendPid(append(b, `,"ph":"i"`...), pid)
+	p.end(append(b, `,"s":"t"`...), tid, e.At)
 }
 
 func (p *perfettoExporter) add(e Event) {
@@ -120,10 +172,7 @@ func (p *perfettoExporter) add(e Event) {
 		p.closeSlice(c, e.At)
 		// Close pending grant→dispatch flow arrows landing here.
 		for _, id := range p.flows[e.Task] {
-			p.events = append(p.events, map[string]any{
-				"ph": "f", "bp": "e", "id": id, "name": "sem-grant", "cat": "sem",
-				"pid": p.pid(c), "tid": p.tid(p.pid(c), e.Task), "ts": us(e.At),
-			})
+			p.flow("f", id, "sem-grant", "sem", c, e.Task, e.At)
 		}
 		delete(p.flows, e.Task)
 		p.cur[c] = e.Task
@@ -142,18 +191,12 @@ func (p *perfettoExporter) add(e Event) {
 			p.closeSlice(c, e.At)
 		}
 		p.nextID++
-		p.events = append(p.events, map[string]any{
-			"ph": "s", "id": p.nextID, "name": "migrate", "cat": "sched",
-			"pid": p.pid(c), "tid": p.tid(p.pid(c), e.Task), "ts": us(e.At),
-		})
+		p.flow("s", p.nextID, "migrate", "sched", c, e.Task, e.At)
 		p.hops[e.Task] = append(p.hops[e.Task], p.nextID)
 		p.instant(e)
 	case MigrateDone:
 		for _, id := range p.hops[e.Task] {
-			p.events = append(p.events, map[string]any{
-				"ph": "f", "bp": "e", "id": id, "name": "migrate", "cat": "sched",
-				"pid": p.pid(c), "tid": p.tid(p.pid(c), e.Task), "ts": us(e.At),
-			})
+			p.flow("f", id, "migrate", "sched", c, e.Task, e.At)
 		}
 		delete(p.hops, e.Task)
 		p.instant(e)
@@ -165,10 +208,7 @@ func (p *perfettoExporter) add(e Event) {
 		if from == "" {
 			from = e.Task
 		}
-		p.events = append(p.events, map[string]any{
-			"ph": "s", "id": p.nextID, "name": "sem-grant", "cat": "sem",
-			"pid": p.pid(c), "tid": p.tid(p.pid(c), from), "ts": us(e.At),
-		})
+		p.flow("s", p.nextID, "sem-grant", "sem", c, from, e.At)
 		p.flows[e.Task] = append(p.flows[e.Task], p.nextID)
 		p.instant(e)
 	default:
@@ -176,65 +216,66 @@ func (p *perfettoExporter) add(e Event) {
 	}
 }
 
-// perfettoDoc builds the trace-event document for an event sequence.
-// extra keys (e.g. the embedded raw log) are merged in at the top
-// level; Chrome and Perfetto ignore keys they do not know.
-func buildPerfettoDoc(events []Event, extra map[string]any) map[string]any {
+func newPerfettoExporter(w io.Writer, ncpu int) *perfettoExporter {
+	return &perfettoExporter{
+		jsonWriter: newJSONWriter(w),
+		multi:      ncpu > 1,
+		tids:       map[tidKey]int{},
+		cur:        make([]string, ncpu),
+		start:      make([]vtime.Time, ncpu),
+		flows:      map[string][]int{},
+		hops:       map[string][]int{},
+	}
+}
+
+// writePerfetto writes the trace-event document for the event sequence
+// older then newer. A non-nil raw log is embedded under the top-level
+// "emeraldsTrace" key; Chrome and Perfetto ignore keys they do not know.
+func writePerfetto(w io.Writer, older, newer []Event, raw *Log) error {
 	maxCPU := 0
-	for _, e := range events {
-		if e.CPU > maxCPU {
-			maxCPU = e.CPU
+	for _, part := range [2][]Event{older, newer} {
+		for i := range part {
+			maxCPU = max(maxCPU, part[i].CPU)
 		}
 	}
-	p := &perfettoExporter{
-		multi: maxCPU > 0,
-		tids:  map[tidKey]int{},
-		cur:   make([]string, maxCPU+1),
-		start: make([]vtime.Time, maxCPU+1),
-		flows: map[string][]int{},
-		hops:  map[string][]int{},
+	p := newPerfettoExporter(w, maxCPU+1)
+	p.buf = append(p.buf, `{"displayTimeUnit":"ms",`...)
+	if raw != nil {
+		p.buf = append(p.buf, `"emeraldsTrace":`...)
+		raw.writeRaw(&p.jsonWriter)
+		p.buf = append(p.buf, ',')
 	}
-	if p.multi {
-		for c := 0; c <= maxCPU; c++ {
-			p.events = append(p.events, map[string]any{
-				"ph": "M", "name": "process_name", "pid": p.pid(c),
-				"args": map[string]any{"name": fmt.Sprintf("emeralds cpu%d", c)},
-			})
-		}
-	} else {
-		p.events = append(p.events, map[string]any{
-			"ph": "M", "name": "process_name", "pid": 1,
-			"args": map[string]any{"name": "emeralds"},
-		})
+	p.buf = append(p.buf, `"traceEvents":[`...)
+	for c := range p.cur {
+		p.processName(c)
 	}
 	var last vtime.Time
-	for _, e := range events {
-		p.add(e)
-		last = e.At
+	for _, part := range [2][]Event{older, newer} {
+		for i := range part {
+			p.add(part[i])
+			last = part[i].At
+		}
 	}
 	for c := range p.cur {
 		p.closeSlice(c, last) // a slice still open ends at the last event
 	}
-	doc := map[string]any{"displayTimeUnit": "ms", "traceEvents": p.events}
-	for k, v := range extra {
-		doc[k] = v
-	}
-	return doc
+	p.buf = append(p.buf, "]}\n"...)
+	return p.close()
 }
 
 // ExportPerfetto writes events as Chrome/Perfetto trace-event JSON.
 func ExportPerfetto(w io.Writer, events []Event) error {
-	return json.NewEncoder(w).Encode(buildPerfettoDoc(events, nil))
+	return writePerfetto(w, events, nil, nil)
 }
 
 // ExportPerfetto exports a log's retained events, embedding the raw
 // event log under "emeraldsTrace" (ignored by Perfetto, replayable by
-// cmd/emreport and package attrib — one file serves both).
+// cmd/emreport and package attrib — one file serves both). Both are
+// read from the ring in place.
 func (l *Log) ExportPerfetto(w io.Writer) error {
 	if l == nil {
-		return fmt.Errorf("trace: nil log")
+		return errNilLog
 	}
-	evs := l.Events()
-	doc := buildPerfettoDoc(evs, map[string]any{"emeraldsTrace": l.rawOf(evs)})
-	return json.NewEncoder(w).Encode(doc)
+	older, newer := l.span()
+	return writePerfetto(w, older, newer, l)
 }

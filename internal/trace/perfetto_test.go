@@ -1,17 +1,59 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"testing"
 
+	"emeralds/internal/trace"
 	"emeralds/internal/vtime"
 )
 
-func perfettoDoc(t *testing.T, events []Event) (raw []byte, evs []map[string]any) {
+func ms(n int) vtime.Time { return vtime.Time(n) * vtime.Time(vtime.Millisecond) }
+
+// perfettoFixtures are the hand-written traces of the tests below;
+// TestPerfettoMatchesReference also encodes each against the reference.
+var perfettoFixtures = map[string][]trace.Event{
+	"export": {
+		{At: ms(0), Kind: trace.Release, Task: "a"},
+		{At: ms(0), Kind: trace.Dispatch, Task: "a"},
+		{At: ms(1), Kind: trace.SemBlockWait, Task: "a", Detail: "m"},
+		{At: ms(1), Kind: trace.Dispatch, Task: "b"},
+		{At: ms(2), Kind: trace.SemGrant, Task: "a", Detail: "m"},
+		{At: ms(2), Kind: trace.Preempt, Task: "b"},
+		{At: ms(2), Kind: trace.Dispatch, Task: "a"},
+		{At: ms(3), Kind: trace.Miss, Task: "a"},
+		{At: ms(3), Kind: trace.Idle, Task: "-"},
+	},
+	"deterministic": {
+		{At: 0, Kind: trace.Dispatch, Task: "a"},
+		{At: 100, Kind: trace.StateWrite, Task: "a", Detail: "s"},
+		{At: 200, Kind: trace.Complete, Task: "a"},
+	},
+	"open-slice": {
+		{At: 0, Kind: trace.Dispatch, Task: "a"},
+		{At: 500, Kind: trace.Release, Task: "b"},
+	},
+	"multicore": {
+		{At: ms(0), Kind: trace.Dispatch, Task: "a", CPU: 0},
+		{At: ms(0), Kind: trace.Dispatch, Task: "b", CPU: 1},
+		{At: ms(1), Kind: trace.Migrate, Task: "a", Detail: "to=cpu1", CPU: 0},
+		{At: ms(1), Kind: trace.Idle, Task: "-", CPU: 0},
+		{At: ms(2), Kind: trace.Complete, Task: "b", CPU: 1},
+		{At: ms(2), Kind: trace.MigrateDone, Task: "a", Detail: "from=cpu0", CPU: 1},
+		{At: ms(2), Kind: trace.Dispatch, Task: "a", CPU: 1},
+		{At: ms(3), Kind: trace.Complete, Task: "a", CPU: 1},
+	},
+	"single-cpu": {
+		{At: 0, Kind: trace.Dispatch, Task: "a"},
+		{At: 100, Kind: trace.Complete, Task: "a"},
+	},
+}
+
+func perfettoDoc(t *testing.T, events []trace.Event) (raw []byte, evs []map[string]any) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ExportPerfetto(&buf, events); err != nil {
+	if err := trace.ExportPerfetto(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -24,18 +66,7 @@ func perfettoDoc(t *testing.T, events []Event) (raw []byte, evs []map[string]any
 }
 
 func TestPerfettoExport(t *testing.T) {
-	ms := func(n int) vtime.Time { return vtime.Time(n) * vtime.Time(vtime.Millisecond) }
-	events := []Event{
-		{At: ms(0), Kind: Release, Task: "a"},
-		{At: ms(0), Kind: Dispatch, Task: "a"},
-		{At: ms(1), Kind: SemBlockWait, Task: "a", Detail: "m"},
-		{At: ms(1), Kind: Dispatch, Task: "b"},
-		{At: ms(2), Kind: SemGrant, Task: "a", Detail: "m"},
-		{At: ms(2), Kind: Preempt, Task: "b"},
-		{At: ms(2), Kind: Dispatch, Task: "a"},
-		{At: ms(3), Kind: Miss, Task: "a"},
-		{At: ms(3), Kind: Idle, Task: "-"},
-	}
+	events := perfettoFixtures["export"]
 	_, evs := perfettoDoc(t, events)
 
 	byPh := map[string][]map[string]any{}
@@ -96,11 +127,7 @@ func TestPerfettoExport(t *testing.T) {
 
 // TestPerfettoDeterministic: same events, byte-identical JSON.
 func TestPerfettoDeterministic(t *testing.T) {
-	events := []Event{
-		{At: 0, Kind: Dispatch, Task: "a"},
-		{At: 100, Kind: StateWrite, Task: "a", Detail: "s"},
-		{At: 200, Kind: Complete, Task: "a"},
-	}
+	events := perfettoFixtures["deterministic"]
 	a, _ := perfettoDoc(t, events)
 	b, _ := perfettoDoc(t, events)
 	if !bytes.Equal(a, b) {
@@ -112,10 +139,7 @@ func TestPerfettoDeterministic(t *testing.T) {
 // the running slice (at the last event), so the JSON never contains a
 // dangling "B" or an X with negative duration.
 func TestPerfettoOpenSliceClosed(t *testing.T) {
-	events := []Event{
-		{At: 0, Kind: Dispatch, Task: "a"},
-		{At: 500, Kind: Release, Task: "b"},
-	}
+	events := perfettoFixtures["open-slice"]
 	_, evs := perfettoDoc(t, events)
 	var slices int
 	for _, e := range evs {
@@ -135,17 +159,7 @@ func TestPerfettoOpenSliceClosed(t *testing.T) {
 // run slices land in their CPU's process, and a Migrate/MigrateDone
 // pair produces a flow arrow across processes.
 func TestPerfettoMulticore(t *testing.T) {
-	ms := func(n int) vtime.Time { return vtime.Time(n) * vtime.Time(vtime.Millisecond) }
-	events := []Event{
-		{At: ms(0), Kind: Dispatch, Task: "a", CPU: 0},
-		{At: ms(0), Kind: Dispatch, Task: "b", CPU: 1},
-		{At: ms(1), Kind: Migrate, Task: "a", Detail: "to=cpu1", CPU: 0},
-		{At: ms(1), Kind: Idle, Task: "-", CPU: 0},
-		{At: ms(2), Kind: Complete, Task: "b", CPU: 1},
-		{At: ms(2), Kind: MigrateDone, Task: "a", Detail: "from=cpu0", CPU: 1},
-		{At: ms(2), Kind: Dispatch, Task: "a", CPU: 1},
-		{At: ms(3), Kind: Complete, Task: "a", CPU: 1},
-	}
+	events := perfettoFixtures["multicore"]
 	_, evs := perfettoDoc(t, events)
 
 	procs := map[float64]string{}
@@ -203,10 +217,7 @@ func TestPerfettoMulticore(t *testing.T) {
 // TestPerfettoSingleCPUUnchanged: a trace with every event on CPU 0
 // keeps the classic single-process layout.
 func TestPerfettoSingleCPUUnchanged(t *testing.T) {
-	events := []Event{
-		{At: 0, Kind: Dispatch, Task: "a"},
-		{At: 100, Kind: Complete, Task: "a"},
-	}
+	events := perfettoFixtures["single-cpu"]
 	_, evs := perfettoDoc(t, events)
 	for _, e := range evs {
 		if e["ph"] == "M" && e["name"] == "process_name" {

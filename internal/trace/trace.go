@@ -1,9 +1,10 @@
 // Package trace records kernel execution events into a bounded ring
 // buffer for debugging, validation tests, and the example programs'
 // schedule dumps, or forwards them as they happen to an online
-// consumer (Log.Stream). Tracing is O(1) per event and allocation-free
-// once the ring exists; the ring is allocated on the first retained
-// event, so a streaming log never allocates one.
+// consumer (Log.Stream). Tracing is O(1) amortized per event and
+// allocation-free once the ring is full; the ring is allocated on the
+// first retained event and doubles up to its capacity, so a streaming
+// log never allocates one and a short run never pays for a large cap.
 package trace
 
 import (
@@ -110,7 +111,7 @@ func (e Event) String() string {
 // callers never need to guard their Add calls.
 type Log struct {
 	ring    []Event
-	cap     int // ring size, allocated on the first retained event
+	cap     int // most events retained; the ring grows up to it
 	next    int
 	wrapped bool
 	total   uint64
@@ -162,16 +163,28 @@ func (l *Log) AddDurCPU(at vtime.Time, kind Kind, taskName, detail string, dur v
 		l.sink(e)
 		return
 	}
-	if l.ring == nil {
-		l.ring = make([]Event, 0, l.cap)
-	}
-	if len(l.ring) < cap(l.ring) {
+	if len(l.ring) < l.cap {
+		if len(l.ring) == cap(l.ring) {
+			l.grow()
+		}
 		l.ring = append(l.ring, e)
 		return
 	}
 	l.ring[l.next] = e
 	l.next = (l.next + 1) % len(l.ring)
 	l.wrapped = true
+}
+
+// minRing is the ring's first allocation (clipped to the capacity).
+const minRing = 256
+
+// grow doubles the ring's storage, never past the log's capacity, so
+// a log sized for a long run holds only about twice what it has seen.
+func (l *Log) grow() {
+	n := min(max(2*cap(l.ring), minRing), l.cap)
+	ring := make([]Event, len(l.ring), n)
+	copy(ring, l.ring)
+	l.ring = ring
 }
 
 // Addf records an event with a formatted detail string. Prefer Add on
@@ -205,20 +218,22 @@ func (l *Log) Dropped() uint64 {
 	return l.total - uint64(len(l.ring))
 }
 
+// span returns the retained events in place, in chronological order:
+// older then newer (newer is empty until the ring wraps). The slices
+// alias the ring; readers must not keep them across an Add.
+func (l *Log) span() (older, newer []Event) {
+	return l.ring[l.next:], l.ring[:l.next]
+}
+
 // Events returns the retained events in chronological order.
 func (l *Log) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	if !l.wrapped {
-		out := make([]Event, len(l.ring))
-		copy(out, l.ring)
-		return out
-	}
+	older, newer := l.span()
 	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
-	return out
+	out = append(out, older...)
+	return append(out, newer...)
 }
 
 // Filter returns retained events of the given kind.

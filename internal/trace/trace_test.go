@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -130,8 +131,43 @@ func TestRingAllocatedOnFirstEvent(t *testing.T) {
 		t.Fatal("New allocated the ring before any event")
 	}
 	l.Add(1, Release, "a", "")
-	if cap(l.ring) != 1<<20 {
-		t.Errorf("ring cap %d, want %d", cap(l.ring), 1<<20)
+	if cap(l.ring) != minRing {
+		t.Errorf("ring cap %d after one event, want the first allocation %d", cap(l.ring), minRing)
+	}
+}
+
+// TestRingGrowsToCapacity: the ring doubles from its first allocation
+// but never holds more than cap slots, wraps exactly at cap, and
+// counts the overwritten events as Dropped.
+func TestRingGrowsToCapacity(t *testing.T) {
+	const capacity = 3*minRing + 7 // not a doubling of minRing
+	l := New(capacity)
+	for i := 0; i < capacity; i++ {
+		l.Add(vtime.Time(i), Dispatch, "x", "")
+		if cap(l.ring) > capacity {
+			t.Fatalf("after %d events the ring has %d slots, over the capacity %d", i+1, cap(l.ring), capacity)
+		}
+	}
+	if l.wrapped || l.Dropped() != 0 || len(l.ring) != capacity || cap(l.ring) != capacity {
+		t.Fatalf("full ring: wrapped=%v dropped=%d len=%d cap=%d, want unwrapped, 0 dropped, %d/%d",
+			l.wrapped, l.Dropped(), len(l.ring), cap(l.ring), capacity, capacity)
+	}
+	for i := capacity; i < capacity+10; i++ {
+		l.Add(vtime.Time(i), Dispatch, "x", "")
+	}
+	if cap(l.ring) != capacity || l.Dropped() != 10 || l.Total() != capacity+10 {
+		t.Errorf("wrapped ring: cap=%d dropped=%d total=%d, want %d/10/%d",
+			cap(l.ring), l.Dropped(), l.Total(), capacity, capacity+10)
+	}
+	evs := l.Events()
+	if len(evs) != capacity || evs[0].At != 10 || evs[capacity-1].At != capacity+9 {
+		t.Errorf("retained %d events from %v to %v, want %d from 10 to %d",
+			len(evs), evs[0].At, evs[len(evs)-1].At, capacity, capacity+9)
+	}
+	small := New(5) // a capacity under the first allocation is never exceeded
+	small.Add(0, Release, "a", "")
+	if cap(small.ring) != 5 {
+		t.Errorf("New(5) ring has %d slots", cap(small.ring))
 	}
 }
 
@@ -154,5 +190,35 @@ func TestLogStreamZeroAlloc(t *testing.T) {
 		ring.AddDur(1, Complete, "x", "detail", 2)
 	}); a != 0 {
 		t.Errorf("Add to a full ring allocates %v per event", a)
+	}
+}
+
+// TestPerfettoAppendZeroAlloc pins the exporter's per-event contract:
+// once an event's track exists, encoding it into the pre-grown buffer
+// (flushed to the writer as it fills) allocates nothing.
+func TestPerfettoAppendZeroAlloc(t *testing.T) {
+	evs := []Event{
+		{At: 1000, Kind: Release, Task: "a"},
+		{At: 1000, Kind: Dispatch, Task: "a"},
+		{At: 1500, Kind: SemAcquire, Task: "a", Detail: "m0 <held> & \"x\""},
+		{At: 2000, Kind: Preempt, Task: "a", Detail: "for b", Dur: 1234},
+		{At: 2000, Kind: Dispatch, Task: "b"},
+		{At: 3000, Kind: Complete, Task: "b", Dur: 7},
+		{At: 3000, Kind: Idle, Task: "-"},
+		{At: 3001, Kind: Interrupt, Task: "isr", Detail: "irq3 "},
+	}
+	p := newPerfettoExporter(io.Discard, 1)
+	for _, e := range evs {
+		p.add(e) // creates every track
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		for _, e := range evs {
+			p.add(e)
+		}
+	}); a != 0 {
+		t.Errorf("encoding %d events allocates %v times", len(evs), a)
+	}
+	if err := p.close(); err != nil {
+		t.Error(err)
 	}
 }

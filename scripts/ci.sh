@@ -63,12 +63,14 @@ echo "== lock-free vlink race gate =="
 go test -race -run 'TestVLink' -count=5 ./internal/ipc/vlink/
 
 echo "== native fuzz smoke (committed corpora + 10s each) =="
-# Both native fuzz targets: syncheck's trace-JSON parser/checker and the
-# scenario repro loader's marshal round-trip. The committed seed corpora
+# The native fuzz targets: syncheck's trace-JSON parser/checker, the
+# scenario repro loader's marshal round-trip and the Perfetto encoder
+# against its encoding/json reference. The committed seed corpora
 # replay in every plain `go test`; here each target also explores for a
 # few seconds.
 go test -run '^$' -fuzz FuzzSyncheckParse -fuzztime 10s ./internal/ipc/syncheck/
 go test -run '^$' -fuzz FuzzReproRoundTrip -fuzztime 10s ./internal/scenario/
+go test -run '^$' -fuzz FuzzPerfettoEncoding -fuzztime 10s ./internal/trace/
 
 echo "== coverage ratchet =="
 # Statement coverage of the IPC, kernel, and scenario packages must not
